@@ -6,20 +6,13 @@ import time
 from dataclasses import dataclass, field
 
 from .automata import Automaton, trim
-from .bigsquare import (
-    _delta_arrays,
-    _kahn_residue_codes,
-    _witness_from_residue,
-    count_pair_transitions,
-    pair_codes,
-)
+from .bigsquare import _kahn_residue_codes, _witness_from_residue, count_pair_transitions, pair_codes
 from .intervals import compute_rank_table, width_estimate
 from .minimize import minimize
-from .square import Witness, build_pruned_square, extract_witness, is_acyclic
 
-# beyond this many minimum-automaton states the pruned square easily holds
-# millions of pairs, so the pipeline switches to the array representation
-ARRAY_ENGINE_THRESHOLD = 256
+# The set-based oracles are not called here, but stay bound: perfbench's
+# tracer looks up every square stage by its name in this module.
+from .square import Witness, build_pruned_square, extract_witness, is_acyclic  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -60,19 +53,18 @@ class Report:
         }
 
 
-def recognize(a: Automaton, input_mode: str = "dfa", engine: str = "auto") -> Report:
+def recognize(a: Automaton, input_mode: str = "dfa") -> Report:
     """Decide whether L(a) is Wheeler; non-Wheeler inputs get a witness cycle.
 
-    `engine` picks the square representation: 'sets' is the plain
-    hash-set pipeline, 'arrays' the equivalent array-coded one for large
-    instances, 'auto' switches on the minimum automaton's size.
+    Every input runs the same array engine (see `bigsquare`).  Timings are
+    per stage in milliseconds; `total` is the measured wall time of the
+    whole call, width estimate included.
     """
     if not a.deterministic:
         raise ValueError("recognizer requires a deterministic automaton")
-    if engine not in ("auto", "sets", "arrays"):
-        raise ValueError(f"unknown engine {engine!r}")
 
-    timings: dict[str, float] = {}
+    began = time.perf_counter()
+    timings = dict.fromkeys(("trim", "minimize", "rank_table", "square", "acyclicity", "witness"), 0.0)
 
     def clock(name: str, fn, *args):
         t0 = time.perf_counter()
@@ -82,39 +74,25 @@ def recognize(a: Automaton, input_mode: str = "dfa", engine: str = "auto") -> Re
 
     trimmed, _ = clock("trim", trim, a)
     a_min, _ = clock("minimize", minimize, trimmed)
+    witness = None
     if a_min.n == 0:
         # empty language: nothing to sort, trivially Wheeler
-        for stage in ("rank_table", "square", "acyclicity"):
-            timings[stage] = 0.0
-        timings["total"] = sum(timings.values())
-        return Report(True, a.n, a.m, 0, 0, 1, 0, 0, None, timings, input_mode)
-
-    table = clock("rank_table", compute_rank_table, a_min)
-    if engine == "arrays" or (engine == "auto" and a_min.n >= ARRAY_ENGINE_THRESHOLD):
-        delta = _delta_arrays(a_min)
-
-        def build_codes():
-            codes = pair_codes(a_min, table)
-            return codes, count_pair_transitions(a_min, codes, delta)
-
-        codes, m2 = clock("square", build_codes)
-        n2 = len(codes)
-        residue = clock("acyclicity", _kahn_residue_codes, a_min.n, codes, delta)
-        acyclic = len(residue) == 0
-        witness = None if acyclic else _witness_from_residue(a_min, residue, delta)
+        width, n2, m2 = 1, 0, 0
     else:
-        square = clock("square", build_pruned_square, a_min, table)
-        n2, m2 = square.n2, square.m2
-        acyclic = clock("acyclicity", is_acyclic, square)
-        witness = None if acyclic else extract_witness(square)
-    timings["total"] = sum(timings.values())
+        table = clock("rank_table", compute_rank_table, a_min)
+        square = clock("square", pair_codes, a_min, table)
+        residue = clock("acyclicity", _kahn_residue_codes, square)
+        if len(residue):
+            witness = clock("witness", _witness_from_residue, a_min, square, residue)
+        width, n2, m2 = width_estimate(table), 2 * square.pairs, count_pair_transitions(square)
+    timings["total"] = (time.perf_counter() - began) * 1000.0
     return Report(
-        wheeler=acyclic,
+        wheeler=witness is None,
         n=a.n,
         m=a.m,
         n_min=a_min.n,
         m_min=a_min.m,
-        width_estimate=width_estimate(table),
+        width_estimate=width,
         square_states=n2,
         square_transitions=m2,
         witness=witness,

@@ -5,6 +5,10 @@ u != v whose open co-lex intervals intersect, and the synchronized
 transitions between such pairs.  The language is Wheeler exactly when
 this graph is acyclic; a cycle, with its labels, is the certificate of
 non-Wheelerness.
+
+The hash-set builders and the set-based peeling and witness walk here
+are independent test oracles: `recognize` runs the array engine in
+`bigsquare`.  `Witness` and `verify_witness` are shared by both.
 """
 
 from __future__ import annotations

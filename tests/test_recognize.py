@@ -43,6 +43,7 @@ def test_verdict_depends_only_on_the_language():
 
 def test_agrees_with_full_square_pipeline():
     rng = random.Random(73)
+    witnesses = 0
     for _ in range(300):
         a = random_automaton(rng, n_max=12)
         report = recognize(a)
@@ -51,7 +52,13 @@ def test_agrees_with_full_square_pipeline():
             assert report.wheeler
             continue
         t = compute_rank_table(a_min)
-        assert report.wheeler == is_acyclic(build_full_square(a_min, t))
+        full = build_full_square(a_min, t)
+        assert report.wheeler == is_acyclic(full)
+        assert (report.square_states, report.square_transitions) == (full.n2, full.m2)
+        if report.witness is not None:
+            witnesses += 1
+            assert verify_witness(a_min, t, report.witness)
+    assert witnesses > 50
 
 
 def test_report_invariants():
@@ -71,8 +78,12 @@ def test_report_invariants():
             "rank_table",
             "square",
             "acyclicity",
+            "witness",
             "total",
         }
+        assert report.timings_ms["total"] >= sum(
+            v for k, v in report.timings_ms.items() if k != "total"
+        )
         if report.witness is not None:
             a_min, _ = minimize(a)
             assert verify_witness(a_min, compute_rank_table(a_min), report.witness)
@@ -155,3 +166,29 @@ def test_cli_error_exits(tmp_path, capsys):
 def test_cli_quiet_keeps_exit_code(capsys):
     assert cli_main(["check", "--regex", "(aa)*", "--quiet"]) == 1
     assert capsys.readouterr().out == ""
+
+
+def test_cli_witness_independent_of_hash_seed(tmp_path):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import wheelerlang
+    from wheelerlang import Alphabet, random_dfa, serialize_automaton
+
+    dfa = tmp_path / "dense.txt"
+    dfa.write_text(serialize_automaton(random_dfa(300, 900, Alphabet(("a", "b", "c")), 5)))
+    blobs = []
+    for hashseed in ("1", "2"):
+        out = tmp_path / f"report{hashseed}.json"
+        env = dict(
+            os.environ,
+            PYTHONHASHSEED=hashseed,
+            PYTHONPATH=str(Path(wheelerlang.__file__).parents[1]),
+        )
+        cmd = [sys.executable, "-m", "wheelerlang", "check", "--dfa", str(dfa), "--json", str(out)]
+        assert subprocess.run(cmd, env=env, capture_output=True, timeout=120).returncode == 1
+        blobs.append(json.loads(out.read_text()))
+    assert blobs[0]["n_min"] >= 256
+    assert blobs[0]["witness"] == blobs[1]["witness"] is not None
