@@ -25,6 +25,7 @@ CSV_COLUMNS = (
     "ms_rank_table",
     "ms_square",
     "ms_acyclicity",
+    "ms_witness",
     "ms_total",
 )
 
@@ -44,6 +45,7 @@ class BenchRow:
     ms_rank_table: float
     ms_square: float
     ms_acyclicity: float
+    ms_witness: float
     ms_total: float
 
 
@@ -51,8 +53,7 @@ def run_bench(
     sizes: Sequence[int],
     edges_per_state: float = 3.0,
     sigma_size: int = 3,
-    seeds: Sequence[int] | None = None,
-    trials: int = 1,
+    seeds: Sequence[int] = (0,),
 ) -> list[BenchRow]:
     """One row per (size, seed); generation and serialization are untimed.
 
@@ -63,8 +64,6 @@ def run_bench(
         raise ValueError("need at least one size")
     if sigma_size < 1 or sigma_size > len(string.ascii_lowercase):
         raise ValueError(f"bad alphabet size {sigma_size}")
-    if seeds is None:
-        seeds = list(range(trials))
     sigma = Alphabet(tuple(string.ascii_lowercase[:sigma_size]))
 
     rows = []
@@ -87,6 +86,7 @@ def run_bench(
                     ms_rank_table=t["rank_table"],
                     ms_square=t["square"],
                     ms_acyclicity=t["acyclicity"],
+                    ms_witness=t["witness"],
                     ms_total=t["total"],
                 )
             )

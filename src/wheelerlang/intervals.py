@@ -6,27 +6,30 @@ finite and left-infinite strings; both are eventually periodic.  This
 module computes dense co-lex ranks of all 2n bounds by an iterated
 truncated-rank refinement:
 
-  round-k keys order the length-k suffixes of the true bound strings,
-  because taking the last k characters commutes with glb/lub.  Each
-  element's round-k candidate set is { epsilon (source only) } union
-  { round-(k-1) key of the predecessor, extended by the edge symbol },
-  taken over the label-pruned incoming edges.  Infimum elements take the
-  minimum candidate, supremum elements the maximum; candidates compare
-  by last symbol first, then by the predecessor's previous-round rank.
-  All 2n elements are jointly dense-ranked each round, and the dense-rank
-  partition provably refines round over round, so the first repeated rank
-  vector is a fixpoint of a deterministic map and equals the true order.
+  round-k ranks order the length-k suffixes of the true bound strings,
+  because taking the last k characters commutes with glb/lub.  In a
+  round, every label-pruned incoming edge v -c-> u offers u's bound the
+  integer key pos(c) * (2n + 1) + (v's previous-round rank), which
+  compares by last symbol first, then by the predecessor's rank.  Keys
+  are reduced per target over the edges grouped by target, the minimum
+  for an infimum and the maximum for a supremum, and `np.unique` then
+  dense-ranks all 2n keys jointly.  The dense-rank partition provably
+  refines round over round, so the first repeated rank vector is a
+  fixpoint of a deterministic map and equals the true order.  The chosen
+  predecessors are read off once, from the fixpoint's keys.
 
-Sentinel states and symbols are never materialized: the empty-string
-candidate at the source together with the end-of-string key sentinel
-(smaller than every symbol) gives finite strings their correct place
-below every infinite extension.
+Sentinel states and symbols are never materialized: the empty string has
+key 0, below every edge key.  It is the source's infimum candidate, and
+it gives finite strings their correct place below every infinite
+extension.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Literal
+
+import numpy as np
 
 from .automata import Alphabet, Automaton, trim
 
@@ -140,8 +143,8 @@ class RankTable:
 
     Equal ranks mean equal underlying strings.  `inf_pred` / `sup_pred`
     record, per state, the incoming (origin, symbol) chosen at the
-    fixpoint, or None where the empty-string candidate won (source only);
-    they drive string extraction.
+    fixpoint (the smallest origin on ties), or None where the empty-string
+    candidate won (source only); they drive string extraction.
     """
 
     n: int
@@ -170,74 +173,50 @@ def compute_rank_table(a_min: Automaton, prune: bool = True) -> RankTable:
     if report.kept != n:
         raise ValueError("rank table requires a trimmed automaton")
 
-    inf_in = (prune_min_edges(a_min) if prune else a_min).in_edges
-    sup_in = (prune_max_edges(a_min) if prune else a_min).in_edges
-    pos = a_min.alphabet.pos
-    source = a_min.source
+    # element ids: state u's infimum is u, its supremum is n + u; an edge
+    # v -c-> u offers the key pos(c) * radix + rank of v's element, so keys
+    # order by last symbol, then by that rank, all above the empty string's 0
+    pos, radix = a_min.alphabet.pos, 2 * n + 1
+    sides = []
+    for reduce, pruned, offset in (
+        (np.minimum, prune_min_edges(a_min) if prune else a_min, 0),
+        (np.maximum, prune_max_edges(a_min) if prune else a_min, n),
+    ):
+        rows = sorted((u + offset, pos(c) * radix, v + offset) for v, c, u in pruned.transitions)
+        target, base, origin = np.array(rows, dtype=np.int64).reshape(-1, 3).T
+        sides.append((reduce, target, base, origin, np.flatnonzero(np.diff(target, prepend=-1))))
 
-    # element ids: state u's infimum is u, its supremum is n + u
-    rank = [1] * (2 * n)
-    chosen: list[tuple[int, str] | None] = [None] * (2 * n)
-    cap = 8 * n + 8
-    depth = 0
-    while True:
-        depth += 1
-        if depth > cap:
-            raise RuntimeError("rank fixpoint failed to stabilize within the safety cap")
-        keys: list[tuple[int, ...]] = [()] * (2 * n)
-        for u in range(n):
-            best = None  # (symbol pos, previous rank, origin)
-            for c, v in inf_in[u]:
-                cand = (pos(c), rank[v], v)
-                if best is None or cand < best:
-                    best = cand
-                    chosen[u] = (v, c)
-            if u == source or best is None:
-                # the empty string is a candidate at the source and wins the min
-                keys[u] = ()
-                chosen[u] = None
-            else:
-                keys[u] = best[:2]
-        for u in range(n):
-            best = None
-            for c, v in sup_in[u]:
-                cand = (pos(c), rank[n + v], -v)
-                if best is None or cand > best:
-                    best = cand
-                    chosen[n + u] = (v, c)
-            if best is None:
-                # no incoming edges: the supremum is the empty string too
-                keys[n + u] = ()
-                chosen[n + u] = None
-            else:
-                keys[n + u] = best[:2]
-
-        by_key = sorted(range(2 * n), key=lambda e: keys[e])
-        new_rank = [0] * (2 * n)
-        r = 0
-        prev_key = None
-        prev_old = None
-        for e in by_key:
-            if keys[e] != prev_key:
-                r += 1
-                prev_key = keys[e]
-                assert prev_old is None or rank[e] >= prev_old, "rank order regressed"
-            else:
-                assert rank[e] == prev_old, "rank partition coarsened"
-            prev_old = rank[e]
-            new_rank[e] = r
-        if new_rank == rank:
+    rank = np.ones(2 * n, dtype=np.int64)
+    for depth in range(1, 8 * n + 9):
+        key = np.zeros(2 * n, dtype=np.int64)
+        for reduce, target, base, origin, starts in sides:
+            key[target[starts]] = reduce.reduceat(base + rank[origin], starts)
+        # the empty string is a candidate at the source and wins the min
+        key[a_min.source] = 0
+        distinct, cls = np.unique(key, return_inverse=True)
+        # every new class lies inside one old class, in the old classes' order
+        old = np.zeros(len(distinct), dtype=np.int64)
+        old[cls] = rank
+        assert np.array_equal(old[cls], rank), "rank partition coarsened"
+        assert np.all(old[1:] >= old[:-1]), "rank order regressed"
+        if np.array_equal(cls + 1, rank):
             break
-        rank = new_rank
+        rank = cls + 1
+    else:
+        raise RuntimeError("rank fixpoint failed to stabilize within the safety cap")
 
-    return RankTable(
-        n,
-        tuple(rank[:n]),
-        tuple(rank[n:]),
-        depth,
-        tuple(chosen[:n]),
-        tuple(chosen[n:]),
-    )
+    # at the fixpoint, each bound's predecessor is the smallest origin whose
+    # candidate attains its key; key 0 (the empty string) has none
+    keys = key.tolist()
+    pred: list[tuple[int, str] | None] = [None] * (2 * n)
+    for _, target, base, origin, starts in sides:
+        attains = base + rank[origin] == key[target]
+        best = np.minimum.reduceat(np.where(attains, origin, 2 * n), starts)
+        for e, v in zip(target[starts].tolist(), best.tolist()):
+            if keys[e]:
+                pred[e] = (v % n, a_min.alphabet.symbols[keys[e] // radix])
+    ranks = rank.tolist()
+    return RankTable(n, tuple(ranks[:n]), tuple(ranks[n:]), depth, tuple(pred[:n]), tuple(pred[n:]))
 
 
 def extract_infsup_string(t: RankTable, u: int, which: Which) -> EventuallyPeriodicString:

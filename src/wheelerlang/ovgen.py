@@ -150,7 +150,11 @@ class OvDfaLayout:
 
     def rho(self, i: int) -> str:
         """MSB-first ell-bit encoding of i-1, for 1-based cycle index i."""
-        return format(i - 1, "b").zfill(self.ell) if self.ell else ""
+        return _rho(i, self.ell)
+
+
+def _rho(i: int, ell: int) -> str:
+    return format(i - 1, "b").zfill(ell) if ell else ""
 
 
 def build_ov_dfa(inst: OvInstance) -> tuple[Automaton, OvDfaLayout]:
@@ -163,9 +167,6 @@ def build_ov_dfa(inst: OvInstance) -> tuple[Automaton, OvDfaLayout]:
         next_id += 1
         return next_id - 1
 
-    def rho(i: int) -> str:
-        return format(i - 1, "b").zfill(ell) if ell else ""
-
     transitions: set[tuple[int, str, int]] = set()
 
     # complete binary out-tree of depth ell+1; leaf 0.rho(i) is x_i, 1.rho(j) is y_j
@@ -177,8 +178,8 @@ def build_ov_dfa(inst: OvInstance) -> tuple[Automaton, OvDfaLayout]:
         if len(w) <= ell:
             transitions.add((out_id[w], "0", out_id[w + "0"]))
             transitions.add((out_id[w], "1", out_id[w + "1"]))
-    x_leaves = tuple(out_id["0" + rho(i)] for i in range(1, n_vec + 1))
-    y_leaves = tuple(out_id["1" + rho(j)] for j in range(1, n_vec + 1))
+    x_leaves = tuple(out_id["0" + _rho(i, ell)] for i in range(1, n_vec + 1))
+    y_leaves = tuple(out_id["1" + _rho(j, ell)] for j in range(1, n_vec + 1))
 
     # intermediate region: two bracketing paths (00 and 11) into each A-side
     # entry, a single 01 path into each B-side entry
@@ -205,8 +206,8 @@ def build_ov_dfa(inst: OvInstance) -> tuple[Automaton, OvDfaLayout]:
     for w in paths:
         if w:
             transitions.add((in_id[w], w[0], in_id[w[1:]]))
-    t_leaves = tuple(in_id[rho(i) + "0"] for i in range(1, n_vec + 1))
-    z_leaves = tuple(in_id[rho(j) + "1"] for j in range(1, n_vec + 1))
+    t_leaves = tuple(in_id[_rho(i, ell) + "0"] for i in range(1, n_vec + 1))
+    z_leaves = tuple(in_id[_rho(j, ell) + "1"] for j in range(1, n_vec + 1))
 
     for i in range(n_vec):
         cyc = a_cycles[i]
@@ -226,7 +227,7 @@ def build_ov_dfa(inst: OvInstance) -> tuple[Automaton, OvDfaLayout]:
             transitions.add((cyc[r], "0", cyc[r + 1]))
             if inst.b_vectors[j][r] == 0:
                 transitions.add((cyc[r], "1", cyc[r + 1]))
-        word = rho(j + 1)
+        word = _rho(j + 1, ell)
         for r in range(ell):
             transitions.add((cyc[d + r], word[r], cyc[d + r + 1]))
         transitions.add((cyc[-1], "#", cyc[0]))

@@ -111,7 +111,10 @@ def parse_regex(pattern: str) -> RegexAst:
             return Literal(c)
         raise ValueError(f"dangling operator or bad character {c!r} at position {pos}")
 
-    ast = parse_union()
+    try:
+        ast = parse_union()
+    except RecursionError:
+        raise ValueError(f"pattern nested too deeply at position {pos}") from None
     if pos != len(pattern):
         raise ValueError(f"unbalanced parentheses at position {pos}")
     return ast
@@ -191,17 +194,21 @@ def compile_regex(
 
     Thompson construction, subset construction, then minimization (which
     also trims).  The alphabet defaults to the pattern's literals sorted by
-    character code.
+    character code.  An AST nested too deeply to walk raises ValueError.
     """
+    counter = [0]
+    try:
+        symbols = literals(ast)
+        start, accept, edges = _thompson(ast, counter)
+    except RecursionError:
+        raise ValueError("pattern nested too deeply to compile") from None
     if alphabet is None:
-        alphabet = Alphabet(tuple(sorted(literals(ast))))
+        alphabet = Alphabet(tuple(sorted(symbols)))
     else:
-        missing = literals(ast) - set(alphabet.symbols)
+        missing = symbols - set(alphabet.symbols)
         if missing:
             raise ValueError(f"literals {sorted(missing)} not in the supplied alphabet")
 
-    counter = [0]
-    start, accept, edges = _thompson(ast, counter)
     eps: list[list[int]] = [[] for _ in range(counter[0])]
     by_symbol: list[dict[str, list[int]]] = [{} for _ in range(counter[0])]
     for u, c, v in edges:

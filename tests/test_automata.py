@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from wheelerlang import (
     Alphabet,
@@ -13,7 +14,7 @@ from wheelerlang import (
     serialize_automaton,
     trim,
 )
-from util import all_strings, random_automaton
+from util import all_strings, dfas, random_automaton
 
 SMALLEST = "dfa\nalphabet a\nstates 1\nsource 0\nfinals 0\ntransitions 1\n0 a 0\n"
 
@@ -76,6 +77,12 @@ def test_roundtrip_random():
     for _ in range(50):
         a = random_automaton(rng)
         assert parse_automaton(serialize_automaton(a)) == a
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(dfas())
+def test_roundtrip_property(a):
+    assert parse_automaton(serialize_automaton(a)) == a
 
 
 def test_serialize_empty_finals_and_byte_stability():

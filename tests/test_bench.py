@@ -35,9 +35,12 @@ def test_row_grid_shape_and_reproducibility():
     assert [fixed(r) for r in rows1] == [fixed(r) for r in rows2]
 
 
-def test_trials_generate_seed_range():
-    rows = run_bench([8], edges_per_state=2.0, sigma_size=2, trials=4)
-    assert [r.seed for r in rows] == [0, 1, 2, 3]
+def test_stage_columns_fit_inside_the_total():
+    # dense random DFAs of this size are non-Wheeler, so the witness stage runs
+    (row,) = run_bench([40], seeds=[3])
+    assert row.ms_witness > 0
+    stages = ("trim", "minimize", "rank_table", "square", "acyclicity", "witness")
+    assert sum(getattr(row, f"ms_{s}") for s in stages) <= row.ms_total
 
 
 def test_csv_layout():

@@ -13,7 +13,6 @@ from wheelerlang import (
     compute_rank_table,
     is_acyclic,
     minimize,
-    random_dfa,
     recognize,
     verify_witness,
 )
@@ -23,7 +22,7 @@ from wheelerlang.bigsquare import (
     count_pair_transitions,
     pair_codes,
 )
-from util import SIGMA_POOL
+from util import dfas
 
 
 def engine(a_min, t):
@@ -49,14 +48,6 @@ def test_no_overflow_past_int32_pair_codes():
     assert (sq.pairs, count_pair_transitions(sq)) == (1, 2)
     assert w is not None and verify_witness(a, t, w)
     assert set(w.cycle) == {loop, loop[::-1]} and w.labels == "aa"
-
-
-@st.composite
-def dfas(draw, n_max=12):
-    n = draw(st.integers(1, n_max))
-    k = draw(st.integers(1, len(SIGMA_POOL)))
-    m = draw(st.integers(n - 1, n * k))
-    return random_dfa(n, m, Alphabet(SIGMA_POOL[:k]), draw(st.integers(0, 2**62)))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

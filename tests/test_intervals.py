@@ -9,16 +9,21 @@ from wheelerlang import (
     Alphabet,
     Automaton,
     EventuallyPeriodicString,
+    build_ov_dfa,
     compare_eps,
+    compile_regex,
     compute_rank_table,
     extract_infsup_string,
     intervals_intersect,
     minimize,
+    parse_regex,
     prune_max_edges,
     prune_min_edges,
+    random_ov_instance,
+    to_binary_alphabet,
     width_estimate,
 )
-from util import random_minimal
+from util import random_minimal, reference_rank_table
 
 EPS = EventuallyPeriodicString
 
@@ -86,6 +91,20 @@ def test_pruned_and_unpruned_tables_agree():
         t1 = compute_rank_table(a_min)
         t2 = compute_rank_table(a_min, prune=False)
         assert (t1.inf_rank, t1.sup_rank) == (t2.inf_rank, t2.sup_rank)
+
+
+def test_rank_table_matches_reference_fixpoint():
+    # RankTable equality covers every field: ranks, depth and both predecessor maps
+    rng = random.Random(3)
+    inputs = [random_minimal(rng) for _ in range(1000)]
+    for size in (1, 2, 4, 8):
+        for seed in range(3):
+            ov, _ = build_ov_dfa(random_ov_instance(size, 4, seed))
+            inputs += [minimize(ov)[0], minimize(to_binary_alphabet(ov))[0]]
+    inputs += [compile_regex(parse_regex("b" * k + "(aa)*")) for k in (1, 2, 5, 40, 300)]
+    for a_min in inputs:
+        for prune in (True, False):
+            assert compute_rank_table(a_min, prune) == reference_rank_table(a_min, prune)
 
 
 def test_rank_table_aa_star(aa_star_dfa):

@@ -1,9 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from wheelerlang import Alphabet, Automaton, equivalent, minimize, parse_automaton, trim
-from util import random_automaton
+from util import dfas, random_automaton
 
 
 def test_hand_example_collapses_to_two_states():
@@ -44,6 +45,13 @@ def test_minimize_random_properties():
             assert (state_map[q] is None) == (report.state_map[q] is None)
             if state_map[q] is not None:
                 assert 0 <= state_map[q] < minimal.n
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(dfas())
+def test_minimize_is_idempotent(a):
+    minimal, _ = minimize(a)
+    assert minimize(minimal)[0] == minimal
 
 
 def test_minimize_handles_untrimmed_input():

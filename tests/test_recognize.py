@@ -163,6 +163,14 @@ def test_cli_error_exits(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_cli_deep_regex_nesting_is_an_input_error(capsys):
+    # the first overflows the parser, the second parses and overflows compilation
+    for pattern in ("(" * 3000 + "a" + ")" * 3000, "a" + "*" * 3000):
+        assert cli_main(["check", "--regex", pattern]) == 2
+        err = capsys.readouterr().err
+        assert "nested too deeply" in err and "recursion depth" not in err
+
+
 def test_cli_quiet_keeps_exit_code(capsys):
     assert cli_main(["check", "--regex", "(aa)*", "--quiet"]) == 1
     assert capsys.readouterr().out == ""

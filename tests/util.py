@@ -5,7 +5,18 @@ from __future__ import annotations
 import itertools
 import random
 
-from wheelerlang import Alphabet, Automaton, minimize, random_dfa
+from hypothesis import strategies as st
+
+from wheelerlang import (
+    Alphabet,
+    Automaton,
+    RankTable,
+    minimize,
+    prune_max_edges,
+    prune_min_edges,
+    random_dfa,
+    trim,
+)
 from wheelerlang.regex import (
     Concat,
     Epsilon,
@@ -26,6 +37,15 @@ def random_automaton(rng: random.Random, n_max: int = 12, sigma_max: int = 3) ->
     sigma = Alphabet(SIGMA_POOL[:k])
     m = rng.randint(n - 1, n * k)
     return random_dfa(n, m, sigma, rng.randrange(2**62))
+
+
+@st.composite
+def dfas(draw, n_max: int = 12) -> Automaton:
+    """Hypothesis strategy: `random_dfa` inputs shaped like random_automaton's."""
+    n = draw(st.integers(1, n_max))
+    k = draw(st.integers(1, len(SIGMA_POOL)))
+    m = draw(st.integers(n - 1, n * k))
+    return random_dfa(n, m, Alphabet(SIGMA_POOL[:k]), draw(st.integers(0, 2**62)))
 
 
 def random_minimal(rng: random.Random, n_max: int = 12, sigma_max: int = 3) -> Automaton:
@@ -120,3 +140,88 @@ def random_pattern(rng: random.Random, depth: int = 3, symbols: str = "ab") -> s
         return inner + {2: "*", 3: "+", 4: "?", 5: "*"}[kind]
 
     return build(depth)
+
+
+def reference_rank_table(a_min: Automaton, prune: bool = True) -> RankTable:
+    """Oracle for `compute_rank_table`: the same fixpoint, one Python sort of
+    tuple keys per round and the chosen predecessors rewritten every round.
+
+    `prune` selects the label-pruned candidate edge sets; disabling it
+    feeds all incoming edges to the fixpoint and must give the same table
+    (kept as a test hook).
+    """
+    n = a_min.n
+    if n == 0:
+        return RankTable(0, (), (), 0, (), ())
+    _, report = trim(a_min)
+    if report.kept != n:
+        raise ValueError("rank table requires a trimmed automaton")
+
+    inf_in = (prune_min_edges(a_min) if prune else a_min).in_edges
+    sup_in = (prune_max_edges(a_min) if prune else a_min).in_edges
+    pos = a_min.alphabet.pos
+    source = a_min.source
+
+    # element ids: state u's infimum is u, its supremum is n + u
+    rank = [1] * (2 * n)
+    chosen: list[tuple[int, str] | None] = [None] * (2 * n)
+    cap = 8 * n + 8
+    depth = 0
+    while True:
+        depth += 1
+        if depth > cap:
+            raise RuntimeError("rank fixpoint failed to stabilize within the safety cap")
+        keys: list[tuple[int, ...]] = [()] * (2 * n)
+        for u in range(n):
+            best = None  # (symbol pos, previous rank, origin)
+            for c, v in inf_in[u]:
+                cand = (pos(c), rank[v], v)
+                if best is None or cand < best:
+                    best = cand
+                    chosen[u] = (v, c)
+            if u == source or best is None:
+                # the empty string is a candidate at the source and wins the min
+                keys[u] = ()
+                chosen[u] = None
+            else:
+                keys[u] = best[:2]
+        for u in range(n):
+            best = None
+            for c, v in sup_in[u]:
+                cand = (pos(c), rank[n + v], -v)
+                if best is None or cand > best:
+                    best = cand
+                    chosen[n + u] = (v, c)
+            if best is None:
+                # no incoming edges: the supremum is the empty string too
+                keys[n + u] = ()
+                chosen[n + u] = None
+            else:
+                keys[n + u] = best[:2]
+
+        by_key = sorted(range(2 * n), key=lambda e: keys[e])
+        new_rank = [0] * (2 * n)
+        r = 0
+        prev_key = None
+        prev_old = None
+        for e in by_key:
+            if keys[e] != prev_key:
+                r += 1
+                prev_key = keys[e]
+                assert prev_old is None or rank[e] >= prev_old, "rank order regressed"
+            else:
+                assert rank[e] == prev_old, "rank partition coarsened"
+            prev_old = rank[e]
+            new_rank[e] = r
+        if new_rank == rank:
+            break
+        rank = new_rank
+
+    return RankTable(
+        n,
+        tuple(rank[:n]),
+        tuple(rank[n:]),
+        depth,
+        tuple(chosen[:n]),
+        tuple(chosen[n:]),
+    )
