@@ -4,14 +4,21 @@ States are dense integers 0..n-1.  Automata are partial: a missing
 (state, symbol) transition means the walk dies; no sink state is ever
 materialized.  The alphabet's declared symbol order is the character
 order used by every co-lexicographic computation downstream.
+
+The transitions are stored as a frozenset of (u, c, v) tuples, but a
+deterministic automaton's working form is `Automaton.delta`: a
+sigma x n int32 table whose entry [pos(c), u] is u's c-successor, or -1
+where the transition is undefined.  Trimming, the rank table, the pair
+codes and the witness lift all read that one table.
 """
 
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
+
+import numpy as np
 
 
 class FormatError(ValueError):
@@ -100,14 +107,25 @@ class Automaton:
         return len(self.transitions)
 
     @cached_property
-    def _delta(self) -> dict[tuple[int, str], int]:
+    def delta(self) -> np.ndarray:
+        """Read-only sigma x n int32 table: [pos(c), u] is u's c-successor, -1 if undefined."""
         if not self.deterministic:
             raise ValueError("delta lookup requires a deterministic automaton")
-        return {(u, c): v for u, c, v in self.transitions}
+        table = np.full((len(self.alphabet), self.n), -1, dtype=np.int32)
+        index = self.alphabet._index
+        for u, c, v in self.transitions:
+            table[index[c], u] = v
+        table.flags.writeable = False
+        return table
 
     def step(self, u: int, c: str) -> int | None:
-        """Deterministic transition; None when the partial function is undefined."""
-        return self._delta.get((u, c))
+        """Deterministic transition; None when the partial function is undefined
+        or when u or c lies outside the automaton."""
+        table = self.delta  # first, so that an NFA raises whatever u and c are
+        if c not in self.alphabet or not 0 <= u < self.n:
+            return None
+        v = int(table[self.alphabet.pos(c), u])
+        return v if v >= 0 else None
 
     @cached_property
     def out_edges(self) -> tuple[tuple[tuple[str, int], ...], ...]:
@@ -118,16 +136,6 @@ class Automaton:
         for lst in out:
             lst.sort(key=lambda e: (self.alphabet.pos(e[0]), e[1]))
         return tuple(tuple(lst) for lst in out)
-
-    @cached_property
-    def in_edges(self) -> tuple[tuple[tuple[str, int], ...], ...]:
-        """Per state: incoming (symbol, origin) pairs sorted by symbol order."""
-        inc: list[list[tuple[str, int]]] = [[] for _ in range(self.n)]
-        for u, c, v in self.transitions:
-            inc[v].append((c, u))
-        for lst in inc:
-            lst.sort(key=lambda e: (self.alphabet.pos(e[0]), e[1]))
-        return tuple(tuple(lst) for lst in inc)
 
     def accepts(self, word: str) -> bool:
         """Deterministic membership walk from the source."""
@@ -269,6 +277,32 @@ def _empty_like(a: Automaton) -> Automaton:
     return Automaton(0, frozenset(), None, frozenset(), a.alphabet)
 
 
+def _live(a: Automaton) -> tuple[np.ndarray, np.ndarray]:
+    """Boolean masks, read from `a.delta` of a nonempty automaton, of the states
+    reachable from the source and of the states from which a final is reachable."""
+    sym, origin = np.nonzero(a.delta >= 0)
+    target = a.delta[sym, origin]
+
+    def closure(roots: list[int], tails: np.ndarray, heads: np.ndarray) -> np.ndarray:
+        # depth-first search over the edges tails[i] -> heads[i], grouped by tail
+        order = np.argsort(tails, kind="stable")
+        bounds = np.searchsorted(tails[order], np.arange(a.n + 1)).tolist()
+        heads = heads[order].tolist()
+        seen = [False] * a.n
+        for r in roots:
+            seen[r] = True
+        stack = list(roots)
+        while stack:
+            u = stack.pop()
+            for v in heads[bounds[u] : bounds[u + 1]]:
+                if not seen[v]:
+                    seen[v] = True
+                    stack.append(v)
+        return np.array(seen, dtype=bool)
+
+    return closure([a.source], origin, target), closure(sorted(a.finals), target, origin)
+
+
 def trim(a: Automaton) -> tuple[Automaton, TrimReport]:
     """Keep exactly the states reachable from the source and co-reachable to a final.
 
@@ -279,56 +313,31 @@ def trim(a: Automaton) -> tuple[Automaton, TrimReport]:
     if a.n == 0:
         return a, TrimReport(0, 0, 0, ())
 
-    fwd: list[list[int]] = [[] for _ in range(a.n)]
-    bwd: list[list[int]] = [[] for _ in range(a.n)]
-    for u, _, v in a.transitions:
-        fwd[u].append(v)
-        bwd[v].append(u)
-
-    reach = {a.source}
-    queue = deque([a.source])
-    while queue:
-        u = queue.popleft()
-        for v in fwd[u]:
-            if v not in reach:
-                reach.add(v)
-                queue.append(v)
-
-    co = set(a.finals)
-    queue = deque(a.finals)
-    while queue:
-        v = queue.popleft()
-        for u in bwd[v]:
-            if u not in co:
-                co.add(u)
-                queue.append(u)
-
+    reach, co = _live(a)
     kept = reach & co
-    unreachable = a.n - len(reach)
-    dead = len(reach) - len(kept)
-    if a.source not in kept:
+    n_reach, n_kept = int(reach.sum()), int(kept.sum())
+    unreachable = a.n - n_reach
+    dead = n_reach - n_kept
+    if not kept[a.source]:
         # dead source: nothing reaches a final, so the language is empty
         return _empty_like(a), TrimReport(0, unreachable, dead, tuple([None] * a.n))
 
-    new_id: list[int | None] = [None] * a.n
-    nxt = 0
-    for u in range(a.n):
-        if u in kept:
-            new_id[u] = nxt
-            nxt += 1
+    new_id: list[int | None] = [
+        i if k else None for i, k in zip((np.cumsum(kept) - 1).tolist(), kept.tolist())
+    ]
     new_trans = frozenset(
         (new_id[u], c, new_id[v])
         for u, c, v in a.transitions
         if new_id[u] is not None and new_id[v] is not None
     )
     trimmed = Automaton(
-        len(kept),
+        n_kept,
         new_trans,
         new_id[a.source],
         frozenset(new_id[q] for q in a.finals if new_id[q] is not None),
         a.alphabet,
     )
-    return trimmed, TrimReport(len(kept), unreachable, dead, tuple(new_id))
+    return trimmed, TrimReport(n_kept, unreachable, dead, tuple(new_id))
 
 
 def reverse(a: Automaton) -> Automaton:

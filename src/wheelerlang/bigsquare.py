@@ -73,10 +73,7 @@ def pair_codes(a_min: Automaton, t: RankTable) -> UnorderedSquare:
     # singleton or missing (the extra last slot answers delta's -1)
     position = np.full(t.n + 1, -1, dtype=np.int32)
     position[order] = np.arange(k, dtype=np.int32)
-    delta = np.full((sigma, t.n), -1, dtype=np.int32)
-    for u, c, v in a_min.transitions:
-        delta[a_min.alphabet.pos(c), u] = v
-    step = position[delta[:, order]]
+    step = position[a_min.delta[:, order]]
 
     first = np.repeat(np.arange(k, dtype=np.int32), counts)
     second = (np.arange(h, dtype=index) - starts[first] + first + 1).astype(np.int32)
@@ -141,8 +138,8 @@ def _witness_from_residue(a_min: Automaton, sq: UnorderedSquare, residue: np.nda
     q = p
     while not back or q != p:
         q, c = divmod(int(best[q]), sigma)
-        back.append(symbols[c])
-    word = "".join(reversed(back)) * 2
+        back.append(c)
+    word = back[::-1] * 2
 
     # invert the pair index of p, then lift from its (lower, higher)
     # orientation; a round that ends flipped takes a second round
@@ -151,10 +148,11 @@ def _witness_from_residue(a_min: Automaton, sq: UnorderedSquare, residue: np.nda
     i = int(np.searchsorted(ends, pair, side="right"))
     start = (int(sq.order[i]), int(sq.order[pair - int(ends[i]) + int(sq.run_end[i])]))
     cycle = [start]
+    delta = a_min.delta
     for c in word:
         u, v = cycle[-1]
-        nxt = (a_min.step(u, c), a_min.step(v, c))
+        nxt = (int(delta[c, u]), int(delta[c, v]))
         if nxt == start:
             break
         cycle.append(nxt)
-    return Witness(tuple(cycle), word[: len(cycle)])
+    return Witness(tuple(cycle), "".join(symbols[c] for c in word[: len(cycle)]))

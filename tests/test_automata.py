@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -155,6 +156,53 @@ def test_trim_report_arithmetic_and_language():
         # exhaustive short-string agreement as an extra, oracle-style check
         for w in all_strings(a.alphabet.symbols, min(2 * a.n, 6)):
             assert a.accepts(w) == trimmed.accepts(w)
+
+
+def test_trim_matches_search_from_both_ends():
+    # random sources leave some states unreachable, random finals some dead
+    rng = random.Random(12)
+    for _ in range(200):
+        b = random_automaton(rng, n_max=10)
+        a = Automaton(b.n, b.transitions, rng.randrange(b.n), b.finals, b.alphabet)
+        reach, co = {a.source}, set(a.finals)
+        for _ in range(a.n):
+            reach |= {v for u, _, v in a.transitions if u in reach}
+            co |= {u for u, _, v in a.transitions if v in co}
+        trimmed, report = trim(a)
+        kept = reach & co if a.source in co else set()
+        assert report.kept == trimmed.n == len(kept)
+        assert report.dropped_unreachable == a.n - len(reach)
+        assert report.dropped_dead == len(reach - co)
+        assert {u for u, new in enumerate(report.state_map) if new is not None} == kept
+
+
+def test_step_and_delta_edge_cases(ab_star_dfa):
+    a = ab_star_dfa
+    for c in a.alphabet:
+        # a numpy index of -1 would read the last state, which has a b-edge
+        assert a.step(-1, c) is None
+        assert a.step(a.n, c) is None
+    assert a.step(0, "z") is None
+    assert not a.accepts("z")
+    nfa = parse_automaton(
+        "nfa\nalphabet a\nstates 2\nsource 0\nfinals 1\ntransitions 2\n0 a 0\n0 a 1\n"
+    )
+    with pytest.raises(ValueError, match="deterministic"):
+        nfa.delta
+    rng = random.Random(13)
+    for _ in range(100):
+        a = random_automaton(rng)
+        assert a.delta.shape == (len(a.alphabet), a.n) and a.delta.dtype == np.int32
+        assert np.all(a.delta >= -1)
+        sym, origin = np.nonzero(a.delta >= 0)
+        edges = zip(origin.tolist(), sym.tolist(), a.delta[sym, origin].tolist())
+        assert {(u, a.alphabet.symbols[c], v) for u, c, v in edges} == a.transitions
+        succ = {(u, c): v for u, c, v in a.transitions}
+        for u in range(a.n):
+            for c in a.alphabet:
+                assert a.step(u, c) == succ.get((u, c))
+    assert Automaton(0, frozenset(), None, frozenset(), Alphabet(("a", "b"))).delta.shape == (2, 0)
+    assert Automaton(2, frozenset(), 0, frozenset({1}), Alphabet(())).delta.shape == (0, 2)
 
 
 def test_trim_requires_deterministic():

@@ -17,13 +17,11 @@ from wheelerlang import (
     intervals_intersect,
     minimize,
     parse_regex,
-    prune_max_edges,
-    prune_min_edges,
     random_ov_instance,
     to_binary_alphabet,
     width_estimate,
 )
-from util import random_minimal, reference_rank_table
+from util import prune_max_edges, prune_min_edges, random_minimal, reference_rank_table
 
 EPS = EventuallyPeriodicString
 
@@ -127,11 +125,14 @@ def test_rank_table_ab_star(ab_star_dfa):
 
 
 def test_rank_table_requires_trimmed():
-    a = Automaton(
-        2, frozenset({(0, "a", 0)}), 0, frozenset({0}), Alphabet(("a",))
-    )  # state 1 unreachable
-    with pytest.raises(ValueError, match="trimmed"):
-        compute_rank_table(a)
+    sigma = Alphabet(("a", "b"))
+    unreachable = Automaton(2, frozenset({(0, "a", 0)}), 0, frozenset({0}), sigma)
+    # state 1 is reachable but reaches no final
+    dead = Automaton(2, frozenset({(0, "a", 0), (0, "b", 1)}), 0, frozenset({0}), sigma)
+    for a in (unreachable, dead):
+        for prune in (True, False):
+            with pytest.raises(ValueError, match="trimmed"):
+                compute_rank_table(a, prune)
 
 
 def test_source_infimum_is_the_unique_minimum():

@@ -1,5 +1,9 @@
+import importlib
+import importlib.util
 import json
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -200,3 +204,15 @@ def test_cli_witness_independent_of_hash_seed(tmp_path):
         blobs.append(json.loads(out.read_text()))
     assert blobs[0]["n_min"] >= 256
     assert blobs[0]["witness"] == blobs[1]["witness"] is not None
+
+
+def test_traced_stage_names_are_bound_in_recognize(monkeypatch):
+    # the benchmark's tracer wraps these names; a renamed stage would read 0
+    path = Path(__file__).parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    # dataclasses resolves the module's annotations through sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, spans)
+    spec.loader.exec_module(spans)
+    module = importlib.import_module("wheelerlang.recognize")
+    assert [name for name in spans.TRACED if not hasattr(module, name)] == []

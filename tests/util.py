@@ -12,8 +12,6 @@ from wheelerlang import (
     Automaton,
     RankTable,
     minimize,
-    prune_max_edges,
-    prune_min_edges,
     random_dfa,
     trim,
 )
@@ -142,6 +140,45 @@ def random_pattern(rng: random.Random, depth: int = 3, symbols: str = "ab") -> s
     return build(depth)
 
 
+def in_edges(a: Automaton) -> tuple[tuple[tuple[str, int], ...], ...]:
+    """Per state: incoming (symbol, origin) pairs sorted by symbol order."""
+    inc: list[list[tuple[str, int]]] = [[] for _ in range(a.n)]
+    for u, c, v in a.transitions:
+        inc[v].append((c, u))
+    for lst in inc:
+        lst.sort(key=lambda e: (a.alphabet.pos(e[0]), e[1]))
+    return tuple(tuple(lst) for lst in inc)
+
+
+def _prune(a: Automaton, keep_max: bool) -> Automaton:
+    if not a.deterministic:
+        raise ValueError("pruning requires a deterministic automaton")
+    kept: set[tuple[int, str, int]] = set()
+    for u, incoming in enumerate(in_edges(a)):
+        if not incoming or u == a.source:
+            kept.update((v, c, u) for c, v in incoming)
+            continue
+        positions = [a.alphabet.pos(c) for c, _ in incoming]
+        target = max(positions) if keep_max else min(positions)
+        kept.update((v, c, u) for c, v in incoming if a.alphabet.pos(c) == target)
+    return Automaton(a.n, frozenset(kept), a.source, a.finals, a.alphabet)
+
+
+def prune_min_edges(a: Automaton) -> Automaton:
+    """Keep, per non-source state, only incoming edges with its minimum label.
+
+    The language is not preserved; this is an infimum-computation artifact.
+    `reference_rank_table` prunes with it; `compute_rank_table` uses a
+    label mask over `delta` instead.
+    """
+    return _prune(a, keep_max=False)
+
+
+def prune_max_edges(a: Automaton) -> Automaton:
+    """Symmetric to prune_min_edges: keep only maximum-label incoming edges."""
+    return _prune(a, keep_max=True)
+
+
 def reference_rank_table(a_min: Automaton, prune: bool = True) -> RankTable:
     """Oracle for `compute_rank_table`: the same fixpoint, one Python sort of
     tuple keys per round and the chosen predecessors rewritten every round.
@@ -157,8 +194,8 @@ def reference_rank_table(a_min: Automaton, prune: bool = True) -> RankTable:
     if report.kept != n:
         raise ValueError("rank table requires a trimmed automaton")
 
-    inf_in = (prune_min_edges(a_min) if prune else a_min).in_edges
-    sup_in = (prune_max_edges(a_min) if prune else a_min).in_edges
+    inf_in = in_edges(prune_min_edges(a_min) if prune else a_min)
+    sup_in = in_edges(prune_max_edges(a_min) if prune else a_min)
     pos = a_min.alphabet.pos
     source = a_min.source
 
