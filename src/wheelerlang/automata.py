@@ -8,8 +8,8 @@ order used by every co-lexicographic computation downstream.
 The transitions are stored as a frozenset of (u, c, v) tuples, but a
 deterministic automaton's working form is `Automaton.delta`: a
 sigma x n int32 table whose entry [pos(c), u] is u's c-successor, or -1
-where the transition is undefined.  Trimming, the rank table, the pair
-codes and the witness lift all read that one table.
+where the transition is undefined.  Trimming, minimization, the rank
+table, the pair codes and the witness lift all read that one table.
 """
 
 from __future__ import annotations
@@ -126,16 +126,6 @@ class Automaton:
             return None
         v = int(table[self.alphabet.pos(c), u])
         return v if v >= 0 else None
-
-    @cached_property
-    def out_edges(self) -> tuple[tuple[tuple[str, int], ...], ...]:
-        """Per state: outgoing (symbol, target) pairs sorted by symbol order."""
-        out: list[list[tuple[str, int]]] = [[] for _ in range(self.n)]
-        for u, c, v in self.transitions:
-            out[u].append((c, v))
-        for lst in out:
-            lst.sort(key=lambda e: (self.alphabet.pos(e[0]), e[1]))
-        return tuple(tuple(lst) for lst in out)
 
     def accepts(self, word: str) -> bool:
         """Deterministic membership walk from the source."""
@@ -306,7 +296,8 @@ def _live(a: Automaton) -> tuple[np.ndarray, np.ndarray]:
 def trim(a: Automaton) -> tuple[Automaton, TrimReport]:
     """Keep exactly the states reachable from the source and co-reachable to a final.
 
-    An empty language yields a 0-state automaton.
+    An empty language yields a 0-state automaton; when every state is kept,
+    the input itself is returned, with the identity map.
     """
     if not a.deterministic:
         raise ValueError("trim requires a deterministic automaton")
@@ -321,6 +312,8 @@ def trim(a: Automaton) -> tuple[Automaton, TrimReport]:
     if not kept[a.source]:
         # dead source: nothing reaches a final, so the language is empty
         return _empty_like(a), TrimReport(0, unreachable, dead, tuple([None] * a.n))
+    if n_kept == a.n:
+        return a, TrimReport(a.n, 0, 0, tuple(range(a.n)))
 
     new_id: list[int | None] = [
         i if k else None for i, k in zip((np.cumsum(kept) - 1).tolist(), kept.tolist())

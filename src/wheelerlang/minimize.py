@@ -1,8 +1,18 @@
-"""Hopcroft partition refinement for partial DFAs, plus an exact equivalence check."""
+"""DFA minimization as a whole-array Moore refinement over `Automaton.delta`.
+
+Classes start as final / non-final.  Each round dense-ranks, per state,
+the key (own class, class of its c-successor for every symbol c) with
+`np.unique`, folding in one symbol at a time, so a round is O(sigma * n)
+array work plus sigma sorts of n keys.  Classes only ever split, so the
+first round that leaves the class count unchanged reaches the fixpoint.
+The rounds number at most one more than the distinguishing depth (the
+largest length of a shortest word telling two states apart) and at most
+n; a deep chain such as b^k(aa)* takes about k rounds.
+"""
 
 from __future__ import annotations
 
-from collections import deque
+import numpy as np
 
 from .automata import Automaton, trim
 
@@ -10,10 +20,9 @@ from .automata import Automaton, trim
 def minimize(a: Automaton) -> tuple[Automaton, tuple[int | None, ...]]:
     """Unique minimum DFA for L(a) and the old-state -> class map.
 
-    The input is trimmed first.  Refinement runs on the completion with an
-    implicit sink class (partial transitions point there); the sink is
-    dropped again on output, so edge counts stay those of the partial DFA.
-    Output blocks are numbered by their minimum original state id.
+    The input is trimmed first; the output keeps the partial transitions
+    of the trimmed DFA and adds no sink.  Output blocks are numbered by
+    their minimum original state id.
     """
     if not a.deterministic:
         raise ValueError("minimize requires a deterministic automaton")
@@ -22,104 +31,32 @@ def minimize(a: Automaton) -> tuple[Automaton, tuple[int | None, ...]]:
     if n == 0:
         return trimmed, tuple([None] * a.n)
 
-    sink = n
-    symbols = trimmed.alphabet.symbols
-    # completed inverse transition table over states 0..n (n = sink)
-    preimage: dict[tuple[str, int], set[int]] = {}
-    for u in range(n):
-        row = dict(trimmed.out_edges[u])
-        for c in symbols:
-            v = row.get(c, sink)
-            preimage.setdefault((c, v), set()).add(u)
-    for c in symbols:
-        preimage.setdefault((c, sink), set()).add(sink)
+    delta = trimmed.delta
+    # a trimmed nonempty DFA has a final state, so these codes are dense
+    cls = np.ones(n, dtype=np.int64)
+    cls[list(trimmed.finals)] = 0
+    old, count = 0, int(cls.max()) + 1
+    while count > old:
+        key = cls
+        for row in delta:
+            # a missing transition reads as one extra class, 0 (a trimmed
+            # state never has an empty future, so none is equivalent to a
+            # sink); every code stays below the radix n + 2
+            succ = np.where(row >= 0, cls[row] + 1, 0)
+            _, key = np.unique(key * (n + 2) + succ, return_inverse=True)
+        cls, old, count = key, count, int(key.max()) + 1
 
-    finals = frozenset(trimmed.finals)
-    non_finals = frozenset(set(range(n + 1)) - finals)
-    partition = {finals, non_finals} - {frozenset()}
-    block_of = {}
-    for block in partition:
-        for q in block:
-            block_of[q] = block
-    worklist = {min(finals, non_finals, key=len)} if len(partition) == 2 else set(partition)
-
-    while worklist:
-        splitter = worklist.pop()
-        for c in symbols:
-            affected: dict[frozenset[int], set[int]] = {}
-            for t in splitter:
-                for q in preimage.get((c, t), ()):
-                    affected.setdefault(block_of[q], set()).add(q)
-            for old, inside in affected.items():
-                if len(inside) == len(old):
-                    continue
-                part1 = frozenset(inside)
-                part2 = old - part1
-                partition.remove(old)
-                partition.add(part1)
-                partition.add(part2)
-                for q in part1:
-                    block_of[q] = part1
-                for q in part2:
-                    block_of[q] = part2
-                if old in worklist:
-                    worklist.remove(old)
-                    worklist.add(part1)
-                    worklist.add(part2)
-                else:
-                    worklist.add(min(part1, part2, key=len))
-
-    sink_block = block_of[sink]
-    assert sink_block == {sink}, "trimmed input cannot have sink-equivalent states"
-    live_blocks = sorted((b for b in partition if b is not sink_block), key=min)
-    block_id = {b: i for i, b in enumerate(live_blocks)}
-
-    new_trans = set()
-    for i, block in enumerate(live_blocks):
-        rep = min(block)
-        for c, v in trimmed.out_edges[rep]:
-            new_trans.add((i, c, block_id[block_of[v]]))
+    # number the blocks by their least state, whose delta column gives the edges
+    _, first = np.unique(cls, return_index=True)
+    reps = np.sort(first)
+    block = np.searchsorted(reps, first)[cls].tolist()
+    sym, i = np.nonzero(delta[:, reps] >= 0)
+    edges = zip(sym.tolist(), i.tolist(), delta[sym, reps[i]].tolist())
     minimal = Automaton(
-        len(live_blocks),
-        frozenset(new_trans),
-        block_id[block_of[trimmed.source]],
-        frozenset(block_id[block_of[q]] for q in trimmed.finals),
+        count,
+        frozenset((b, trimmed.alphabet.symbols[c], block[v]) for c, b, v in edges),
+        block[trimmed.source],
+        frozenset(block[q] for q in trimmed.finals),
         trimmed.alphabet,
     )
-    state_map = tuple(
-        block_id[block_of[report.state_map[q]]] if report.state_map[q] is not None else None
-        for q in range(a.n)
-    )
-    return minimal, state_map
-
-
-def equivalent(a: Automaton, b: Automaton) -> bool:
-    """Exact language equality via synchronized product reachability.
-
-    The pair graph includes the implicit dead state (None) on each side, so
-    partial automata and the 0-state automaton compare correctly.
-    """
-    if set(a.alphabet.symbols) != set(b.alphabet.symbols):
-        raise ValueError("alphabet mismatch")
-    if not (a.deterministic and b.deterministic):
-        raise ValueError("equivalence check requires deterministic automata")
-
-    def is_final(auto: Automaton, q: int | None) -> bool:
-        return q is not None and q in auto.finals
-
-    start = (a.source, b.source)
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        u, v = queue.popleft()
-        if is_final(a, u) != is_final(b, v):
-            return False
-        for c in a.alphabet.symbols:
-            nu = a.step(u, c) if u is not None else None
-            nv = b.step(v, c) if v is not None else None
-            if nu is None and nv is None:
-                continue
-            if (nu, nv) not in seen:
-                seen.add((nu, nv))
-                queue.append((nu, nv))
-    return True
+    return minimal, tuple(None if q is None else block[q] for q in report.state_map)

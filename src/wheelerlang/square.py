@@ -96,9 +96,9 @@ def build_full_square(a_min: Automaton, t: RankTable) -> PrunedSquare:
                 pairs.add((u, v))
     transitions: set[tuple[Pair, str, Pair]] = set()
     for u, v in pairs:
-        for c, tu in a_min.out_edges[u]:
-            tv = a_min.step(v, c)
-            if tv is not None and (tu, tv) in pairs:
+        for c in a_min.alphabet.symbols:
+            tu, tv = a_min.step(u, c), a_min.step(v, c)
+            if tu is not None and tv is not None and (tu, tv) in pairs:
                 transitions.add(((u, v), c, (tu, tv)))
     return PrunedSquare(frozenset(pairs), frozenset(transitions))
 

@@ -8,14 +8,14 @@ from wheelerlang import (
     Alphabet,
     Automaton,
     FormatError,
-    equivalent,
+    TrimReport,
     parse_automaton,
     random_dfa,
     reverse,
     serialize_automaton,
     trim,
 )
-from util import all_strings, dfas, random_automaton
+from util import all_strings, dfas, equivalent, out_edges, random_automaton
 
 SMALLEST = "dfa\nalphabet a\nstates 1\nsource 0\nfinals 0\ntransitions 1\n0 a 0\n"
 
@@ -176,6 +176,15 @@ def test_trim_matches_search_from_both_ends():
         assert {u for u, new in enumerate(report.state_map) if new is not None} == kept
 
 
+def test_trim_returns_a_trimmed_input_itself():
+    rng = random.Random(13)
+    for _ in range(50):
+        t, _ = trim(random_automaton(rng))
+        again, report = trim(t)
+        assert again is t
+        assert report == TrimReport(t.n, 0, 0, tuple(range(t.n)))
+
+
 def test_step_and_delta_edge_cases(ab_star_dfa):
     a = ab_star_dfa
     for c in a.alphabet:
@@ -255,11 +264,12 @@ def test_random_dfa_all_states_reachable():
     rng = random.Random(5)
     for _ in range(40):
         a = random_automaton(rng, n_max=30)
+        edges = out_edges(a)
         seen = {a.source}
         stack = [a.source]
         while stack:
             u = stack.pop()
-            for _, v in a.out_edges[u]:
+            for _, v in edges[u]:
                 if v not in seen:
                     seen.add(v)
                     stack.append(v)

@@ -2,9 +2,22 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wheelerlang import Alphabet, Automaton, equivalent, minimize, parse_automaton, trim
-from util import dfas, random_automaton
+import wheelerlang.regex
+from wheelerlang import (
+    Alphabet,
+    Automaton,
+    build_ov_dfa,
+    compile_regex,
+    minimize,
+    parse_automaton,
+    parse_regex,
+    random_ov_instance,
+    to_binary_alphabet,
+    trim,
+)
+from util import dfas, equivalent, random_automaton, random_pattern, reference_minimize
 
 
 def test_hand_example_collapses_to_two_states():
@@ -52,6 +65,51 @@ def test_minimize_random_properties():
 def test_minimize_is_idempotent(a):
     minimal, _ = minimize(a)
     assert minimize(minimal)[0] == minimal
+
+
+def with_source(a: Automaton, source: int, finals=None) -> Automaton:
+    finals = a.finals if finals is None else finals
+    return Automaton(a.n, a.transitions, source, finals, a.alphabet)
+
+
+def test_minimize_matches_reference(monkeypatch):
+    # whole output: the minimal DFA (blocks numbered by least state) and the map
+    rng = random.Random(9)
+    inputs = []
+    for _ in range(1000):
+        a = random_automaton(rng, n_max=rng.choice((6, 12, 40)))
+        # a random source leaves states unreachable; all-final has no dead state
+        inputs.append(with_source(a, rng.randrange(a.n)))
+        inputs.append(with_source(a, rng.randrange(a.n), frozenset(range(a.n))))
+    inputs += [with_source(a, a.source, frozenset()), Automaton(0, (), None, (), a.alphabet)]
+    # an empty alphabet: the only live state is a final source with no edges
+    for finals in ("0", "", "0 2"):
+        inputs.append(
+            parse_automaton(f"dfa\nalphabet\nstates 3\nsource 0\nfinals {finals}\ntransitions 0\n")
+        )
+    for size in (1, 2, 4, 8):
+        for seed in range(3):
+            ov, _ = build_ov_dfa(random_ov_instance(size, 4, seed))
+            inputs += [ov, to_binary_alphabet(ov)]
+    # compile_regex hands its subset-construction DFA to minimize
+    subset_dfas = []
+    monkeypatch.setattr(
+        wheelerlang.regex, "minimize", lambda d: subset_dfas.append(d) or minimize(d)
+    )
+    patterns = [random_pattern(rng, depth=4) for _ in range(300)]
+    patterns += ["b" * k + "(aa)*" for k in (1, 2, 5, 40, 300)]
+    patterns += ["()", "|"]  # no literals: the DFA has an empty alphabet
+    inputs += [compile_regex(parse_regex(p)) for p in patterns]
+    inputs += subset_dfas
+    for a in inputs:
+        assert minimize(a) == reference_minimize(a)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(dfas(), st.data())
+def test_minimize_matches_reference_property(a, data):
+    a = with_source(a, data.draw(st.integers(0, a.n - 1)))
+    assert minimize(a) == reference_minimize(a)
 
 
 def test_minimize_handles_untrimmed_input():

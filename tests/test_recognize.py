@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import json
@@ -137,6 +138,9 @@ def test_cli_check_regex_verdicts(capsys):
     assert capsys.readouterr().out.strip() == "non-wheeler"
     assert cli_main(["check", "--regex", "a*"]) == 0
     assert capsys.readouterr().out.strip() == "wheeler"
+    # no literals: the minimum DFA is one final state over an empty alphabet
+    assert cli_main(["check", "--regex", "()"]) == 0
+    assert capsys.readouterr().out.strip() == "wheeler"
 
 
 def test_cli_check_dfa_file(tmp_path, capsys, aa_star_dfa):
@@ -216,3 +220,18 @@ def test_traced_stage_names_are_bound_in_recognize(monkeypatch):
     spec.loader.exec_module(spans)
     module = importlib.import_module("wheelerlang.recognize")
     assert [name for name in spans.TRACED if not hasattr(module, name)] == []
+
+
+def test_perfbench_names_from_wheelerlang_resolve():
+    # the benchmark and its oracle import these; a name moved out of the
+    # package would break them without failing any other test
+    names = []
+    for path in sorted((Path(__file__).parents[1] / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("wheelerlang"):
+                names += [(path.name, node.module, alias.name) for alias in node.names]
+            elif isinstance(node, ast.Attribute) and getattr(node.value, "id", "") == "wheelerlang":
+                names.append((path.name, "wheelerlang", node.attr))
+    assert {module for _, module, _ in names} >= {"wheelerlang", "wheelerlang.bench"}
+    missing = [n for n in names if not hasattr(importlib.import_module(n[1]), n[2])]
+    assert missing == []

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import deque
 
 from hypothesis import strategies as st
 
@@ -140,6 +141,16 @@ def random_pattern(rng: random.Random, depth: int = 3, symbols: str = "ab") -> s
     return build(depth)
 
 
+def out_edges(a: Automaton) -> tuple[tuple[tuple[str, int], ...], ...]:
+    """Per state: outgoing (symbol, target) pairs sorted by symbol order."""
+    out: list[list[tuple[str, int]]] = [[] for _ in range(a.n)]
+    for u, c, v in a.transitions:
+        out[u].append((c, v))
+    for lst in out:
+        lst.sort(key=lambda e: (a.alphabet.pos(e[0]), e[1]))
+    return tuple(tuple(lst) for lst in out)
+
+
 def in_edges(a: Automaton) -> tuple[tuple[tuple[str, int], ...], ...]:
     """Per state: incoming (symbol, origin) pairs sorted by symbol order."""
     inc: list[list[tuple[str, int]]] = [[] for _ in range(a.n)]
@@ -262,3 +273,122 @@ def reference_rank_table(a_min: Automaton, prune: bool = True) -> RankTable:
         tuple(chosen[:n]),
         tuple(chosen[n:]),
     )
+
+
+def reference_minimize(a: Automaton) -> tuple[Automaton, tuple[int | None, ...]]:
+    """Oracle for `minimize`: Hopcroft partition refinement over frozensets.
+
+    The input is trimmed first.  Refinement runs on the completion with an
+    implicit sink class (partial transitions point there); the sink is
+    dropped again on output, so edge counts stay those of the partial DFA.
+    Output blocks are numbered by their minimum original state id.
+    """
+    if not a.deterministic:
+        raise ValueError("minimize requires a deterministic automaton")
+    trimmed, report = trim(a)
+    n = trimmed.n
+    if n == 0:
+        return trimmed, tuple([None] * a.n)
+
+    sink = n
+    symbols = trimmed.alphabet.symbols
+    edges = out_edges(trimmed)
+    # completed inverse transition table over states 0..n (n = sink)
+    preimage: dict[tuple[str, int], set[int]] = {}
+    for u in range(n):
+        row = dict(edges[u])
+        for c in symbols:
+            v = row.get(c, sink)
+            preimage.setdefault((c, v), set()).add(u)
+    for c in symbols:
+        preimage.setdefault((c, sink), set()).add(sink)
+
+    finals = frozenset(trimmed.finals)
+    non_finals = frozenset(set(range(n + 1)) - finals)
+    partition = {finals, non_finals} - {frozenset()}
+    block_of = {}
+    for block in partition:
+        for q in block:
+            block_of[q] = block
+    worklist = {min(finals, non_finals, key=len)} if len(partition) == 2 else set(partition)
+
+    while worklist:
+        splitter = worklist.pop()
+        for c in symbols:
+            affected: dict[frozenset[int], set[int]] = {}
+            for t in splitter:
+                for q in preimage.get((c, t), ()):
+                    affected.setdefault(block_of[q], set()).add(q)
+            for old, inside in affected.items():
+                if len(inside) == len(old):
+                    continue
+                part1 = frozenset(inside)
+                part2 = old - part1
+                partition.remove(old)
+                partition.add(part1)
+                partition.add(part2)
+                for q in part1:
+                    block_of[q] = part1
+                for q in part2:
+                    block_of[q] = part2
+                if old in worklist:
+                    worklist.remove(old)
+                    worklist.add(part1)
+                    worklist.add(part2)
+                else:
+                    worklist.add(min(part1, part2, key=len))
+
+    sink_block = block_of[sink]
+    assert sink_block == {sink}, "trimmed input cannot have sink-equivalent states"
+    live_blocks = sorted((b for b in partition if b is not sink_block), key=min)
+    block_id = {b: i for i, b in enumerate(live_blocks)}
+
+    new_trans = set()
+    for i, block in enumerate(live_blocks):
+        rep = min(block)
+        for c, v in edges[rep]:
+            new_trans.add((i, c, block_id[block_of[v]]))
+    minimal = Automaton(
+        len(live_blocks),
+        frozenset(new_trans),
+        block_id[block_of[trimmed.source]],
+        frozenset(block_id[block_of[q]] for q in trimmed.finals),
+        trimmed.alphabet,
+    )
+    state_map = tuple(
+        block_id[block_of[report.state_map[q]]] if report.state_map[q] is not None else None
+        for q in range(a.n)
+    )
+    return minimal, state_map
+
+
+def equivalent(a: Automaton, b: Automaton) -> bool:
+    """Exact language equality via synchronized product reachability.
+
+    The pair graph includes the implicit dead state (None) on each side, so
+    partial automata and the 0-state automaton compare correctly.
+    """
+    if set(a.alphabet.symbols) != set(b.alphabet.symbols):
+        raise ValueError("alphabet mismatch")
+    if not (a.deterministic and b.deterministic):
+        raise ValueError("equivalence check requires deterministic automata")
+
+    def is_final(auto: Automaton, q: int | None) -> bool:
+        return q is not None and q in auto.finals
+
+    start = (a.source, b.source)
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        u, v = queue.popleft()
+        if is_final(a, u) != is_final(b, v):
+            return False
+        for c in a.alphabet.symbols:
+            nu = a.step(u, c) if u is not None else None
+            nv = b.step(v, c) if v is not None else None
+            if nu is None and nv is None:
+                continue
+            if (nu, nv) not in seen:
+                seen.add((nu, nv))
+                queue.append((nu, nv))
+    return True
