@@ -23,10 +23,25 @@ twice the quotient cycle's length.
 Peeling is Kahn's algorithm by frontiers: in-degrees by `bincount`, then
 each round touches only the successors of the pairs it removes, so every
 pair transition is visited once whatever the number of rounds.
+
+The witness walks backwards through the residue R, from its smallest
+pair to the smallest residue predecessor (smallest symbol on ties),
+until a pair repeats.  Predecessors are found lazily, never tabulated.
+Setup lists, per symbol c and position x, the positions whose c-successor
+is x, ascending (one argsort over sigma * k entries, k the non-singleton
+states), and a residue mask of one byte per pair.  The predecessors of
+pair (i, j) on c are the pairs (s, t) with s in in_c(i) and t in in_c(j)
+or the other way round, s < t < run_end[s].  For each s, the admissible
+t form one range of the sorted in-list, found by bisection, and its
+first residue member is s's smallest.  A step on (i, j) therefore costs
+sum_c (|in_c(i)| + |in_c(j)|) * log n plus the real in-edges it scans,
+and a walk scans at most m2 of those in all; it never allocates
+anything of size sigma * |R|.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,38 +130,69 @@ def _witness_from_residue(a_min: Automaton, sq: UnorderedSquare, residue: np.nda
 
     Walks backwards from the smallest residue pair, always to its
     smallest residue predecessor (smallest symbol on ties), until the
-    walk closes a cycle.
+    walk closes a cycle.  Predecessors are enumerated lazily from the
+    automaton's in-edges (see the module docstring).
     """
     symbols = a_min.alphabet.symbols
     sigma = len(symbols)
-    # rank[p] is p's position in the residue, -1 outside it or for succ's -1
-    rank = np.full(sq.pairs + 1, -1, dtype=sq.succ.dtype)
-    rank[residue] = np.arange(len(residue), dtype=sq.succ.dtype)
-    dst = rank[sq.succ[:, residue]]
-    sym, col = np.nonzero(dst >= 0)
-    # key = residue position of the predecessor, then symbol
-    best = np.full(len(residue), np.iinfo(np.int64).max, dtype=np.int64)
-    np.minimum.at(best, dst[sym, col], col.astype(np.int64) * sigma + sym)
+    k = len(sq.order)
+    position = np.full(a_min.n + 1, -1, dtype=np.int32)
+    position[sq.order] = np.arange(k, dtype=np.int32)
+    step = position[a_min.delta[:, sq.order]]
+    # the positions whose c-successor is position x, ascending, are
+    # sources[head[c*k + x] : head[c*k + x + 1]]
+    sym, src = np.nonzero(step >= 0)
+    key = sym * k + step[sym, src]
+    sources = src[np.argsort(key, kind="stable")].tolist()
+    head = [0] + np.bincount(key, minlength=sigma * k).cumsum().tolist()
+    ends = np.cumsum(sq.run_end - np.arange(k) - 1)
+    # pair (lo, hi) has index offset[lo] + hi
+    offset = (ends - sq.run_end).tolist()
+    run_end = sq.run_end.tolist()
+    in_residue = bytearray(sq.pairs)
+    np.frombuffer(in_residue, dtype=np.uint8)[residue] = 1
 
-    seen = set()
-    p = 0
-    while p not in seen:
-        seen.add(p)
-        p = int(best[p]) // sigma
+    def first_edge(x0: int, x1: int, y0: int, y1: int) -> tuple[int, int] | None:
+        # smallest residue pair (s, t) with s < t < run_end[s], s from
+        # sources[x0:x1] and t from sources[y0:y1]
+        for a in range(x0, x1):
+            s = sources[a]
+            lo = bisect_right(sources, s, y0, y1)
+            for b in range(lo, bisect_left(sources, run_end[s], lo, y1)):
+                if in_residue[offset[s] + sources[b]]:
+                    return s, sources[b]
+        return None
+
+    def predecessor(i: int, j: int) -> tuple[tuple[int, int], int]:
+        best = None
+        for c in range(sigma):
+            x0, x1 = head[c * k + i], head[c * k + i + 1]
+            y0, y1 = head[c * k + j], head[c * k + j + 1]
+            if x0 == x1 or y0 == y1:
+                continue
+            for found in (first_edge(x0, x1, y0, y1), first_edge(y0, y1, x0, x1)):
+                if found is not None and (best is None or found < best[0]):
+                    best = (found, c)
+        return best
+
+    first = int(residue[0])
+    i = int(np.searchsorted(ends, first, side="right"))
+    p = (i, first - offset[i])
+    pred = {}
+    while p not in pred:
+        pred[p] = predecessor(*p)
+        p = pred[p][0]
     # p is on the cycle; going round it backwards collects the labels
     back = []
     q = p
     while not back or q != p:
-        q, c = divmod(int(best[q]), sigma)
+        q, c = pred[q]
         back.append(c)
     word = back[::-1] * 2
 
-    # invert the pair index of p, then lift from its (lower, higher)
-    # orientation; a round that ends flipped takes a second round
-    pair = int(residue[p])
-    ends = np.cumsum(sq.run_end - np.arange(len(sq.order)) - 1)
-    i = int(np.searchsorted(ends, pair, side="right"))
-    start = (int(sq.order[i]), int(sq.order[pair - int(ends[i]) + int(sq.run_end[i])]))
+    # lift from p's (lower, higher) orientation; a round that ends
+    # flipped takes a second round
+    start = (int(sq.order[p[0]]), int(sq.order[p[1]]))
     cycle = [start]
     delta = a_min.delta
     for c in word:

@@ -5,6 +5,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
+from pathlib import Path
+
+import numpy as np
 
 from .automata import parse_automaton, serialize_automaton
 from .bench import DEFAULT_GRID, run_bench, write_csv
@@ -111,8 +115,16 @@ def _run_bench(args: argparse.Namespace) -> int:
     return 0
 
 
+def _raised_in(exc: BaseException) -> str:
+    """Innermost function outside numpy that `exc` passed through."""
+    frames = traceback.extract_tb(exc.__traceback__)
+    numpy_dir = Path(np.__file__).parent
+    own = [f for f in frames if not Path(f.filename).is_relative_to(numpy_dir)]
+    return (own or frames)[-1].name
+
+
 def cli_main(argv: list[str]) -> int:
-    """Exit codes: 0 wheeler / success, 1 non-wheeler, 2 usage or input error."""
+    """Exit codes: 0 wheeler / success, 1 non-wheeler, 2 usage, input or internal error."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -126,6 +138,11 @@ def cli_main(argv: list[str]) -> int:
         return _run_bench(args)
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:
+        # exit 1 is the "non-wheeler" verdict, so no failure may reach it
+        message = str(exc).partition("\n")[0]
+        print(f"error: {type(exc).__name__} in {_raised_in(exc)}: {message}", file=sys.stderr)
         return 2
 
 

@@ -245,22 +245,16 @@ def intervals_intersect(t: RankTable, u: int, v: int) -> bool:
 def width_estimate(t: RankTable) -> int:
     """Clique number of the open-interval graph, by an endpoint sweep.
 
-    Sweeps the gaps between consecutive rank values and counts the
-    non-singleton intervals strictly containing each gap; 1 when no two
+    Counts, for every gap between consecutive rank values, the
+    non-singleton intervals strictly containing it (a +1 at each infimum
+    and a -1 at each supremum, summed left to right); 1 when no two
     intervals intersect.
     """
     if t.n < 1:
         raise ValueError("width estimate needs at least one state")
+    inf = np.asarray(t.inf_rank, dtype=np.int64)
+    sup = np.asarray(t.sup_rank, dtype=np.int64)
+    keep = inf < sup
     size = 2 * t.n + 2
-    diff = [0] * size
-    for u in range(t.n):
-        lo, hi = t.inf_rank[u], t.sup_rank[u]
-        if lo < hi:
-            diff[lo] += 1
-            diff[hi] -= 1
-    best = 0
-    running = 0
-    for g in range(size):
-        running += diff[g]
-        best = max(best, running)
-    return max(1, best)
+    diff = np.bincount(inf[keep], minlength=size) - np.bincount(sup[keep], minlength=size)
+    return max(1, int(diff.cumsum().max()))

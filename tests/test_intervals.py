@@ -21,7 +21,13 @@ from wheelerlang import (
     to_binary_alphabet,
     width_estimate,
 )
-from util import prune_max_edges, prune_min_edges, random_minimal, reference_rank_table
+from util import (
+    prune_max_edges,
+    prune_min_edges,
+    random_minimal,
+    reference_rank_table,
+    reference_width,
+)
 
 EPS = EventuallyPeriodicString
 
@@ -102,7 +108,9 @@ def test_rank_table_matches_reference_fixpoint():
     inputs += [compile_regex(parse_regex("b" * k + "(aa)*")) for k in (1, 2, 5, 40, 300)]
     for a_min in inputs:
         for prune in (True, False):
-            assert compute_rank_table(a_min, prune) == reference_rank_table(a_min, prune)
+            t = compute_rank_table(a_min, prune)
+            assert t == reference_rank_table(a_min, prune)
+            assert width_estimate(t) == reference_width(t)
 
 
 def test_rank_table_aa_star(aa_star_dfa):

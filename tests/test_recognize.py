@@ -179,6 +179,30 @@ def test_cli_deep_regex_nesting_is_an_input_error(capsys):
         assert "nested too deeply" in err and "recursion depth" not in err
 
 
+def check_stage_failure_exits_2(monkeypatch, capsys, stage) -> None:
+    # exit 1 would read as the "non-wheeler" verdict
+    monkeypatch.setattr(importlib.import_module("wheelerlang.recognize"), stage.__name__, stage)
+    assert cli_main(["check", "--regex", "(aa)*"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert stage.__name__ in captured.err and "Traceback" not in captured.err
+
+
+def test_cli_memory_error_exits_2(monkeypatch, capsys):
+    def pair_codes(*args):
+        raise MemoryError("Unable to allocate 1.49 GiB for an array with shape (200000001,)")
+
+    check_stage_failure_exits_2(monkeypatch, capsys, pair_codes)
+
+
+def test_cli_unexpected_exception_exits_2(monkeypatch, capsys):
+    def _kahn_residue_codes(*args):
+        raise IndexError("index 7 is out of bounds for axis 0 with size 7")
+
+    check_stage_failure_exits_2(monkeypatch, capsys, _kahn_residue_codes)
+
+
 def test_cli_quiet_keeps_exit_code(capsys):
     assert cli_main(["check", "--regex", "(aa)*", "--quiet"]) == 1
     assert capsys.readouterr().out == ""

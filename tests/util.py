@@ -6,16 +6,19 @@ import itertools
 import random
 from collections import deque
 
+import numpy as np
 from hypothesis import strategies as st
 
 from wheelerlang import (
     Alphabet,
     Automaton,
     RankTable,
+    Witness,
     minimize,
     random_dfa,
     trim,
 )
+from wheelerlang.bigsquare import UnorderedSquare
 from wheelerlang.regex import (
     Concat,
     Epsilon,
@@ -275,6 +278,23 @@ def reference_rank_table(a_min: Automaton, prune: bool = True) -> RankTable:
     )
 
 
+def reference_width(t: RankTable) -> int:
+    """Oracle for `width_estimate`: the endpoint sweep as a Python loop."""
+    size = 2 * t.n + 2
+    diff = [0] * size
+    for u in range(t.n):
+        lo, hi = t.inf_rank[u], t.sup_rank[u]
+        if lo < hi:
+            diff[lo] += 1
+            diff[hi] -= 1
+    best = 0
+    running = 0
+    for g in range(size):
+        running += diff[g]
+        best = max(best, running)
+    return max(1, best)
+
+
 def reference_minimize(a: Automaton) -> tuple[Automaton, tuple[int | None, ...]]:
     """Oracle for `minimize`: Hopcroft partition refinement over frozensets.
 
@@ -392,3 +412,51 @@ def equivalent(a: Automaton, b: Automaton) -> bool:
                 seen.add((nu, nv))
                 queue.append((nu, nv))
     return True
+
+
+def reference_witness(a_min: Automaton, sq: UnorderedSquare, residue: np.ndarray) -> Witness:
+    """Oracle for `bigsquare._witness_from_residue`: the table walk.
+
+    Walks backwards from the smallest residue pair, always to its
+    smallest residue predecessor (smallest symbol on ties), until the
+    walk closes a cycle.
+    """
+    symbols = a_min.alphabet.symbols
+    sigma = len(symbols)
+    # rank[p] is p's position in the residue, -1 outside it or for succ's -1
+    rank = np.full(sq.pairs + 1, -1, dtype=sq.succ.dtype)
+    rank[residue] = np.arange(len(residue), dtype=sq.succ.dtype)
+    dst = rank[sq.succ[:, residue]]
+    sym, col = np.nonzero(dst >= 0)
+    # key = residue position of the predecessor, then symbol
+    best = np.full(len(residue), np.iinfo(np.int64).max, dtype=np.int64)
+    np.minimum.at(best, dst[sym, col], col.astype(np.int64) * sigma + sym)
+
+    seen = set()
+    p = 0
+    while p not in seen:
+        seen.add(p)
+        p = int(best[p]) // sigma
+    # p is on the cycle; going round it backwards collects the labels
+    back = []
+    q = p
+    while not back or q != p:
+        q, c = divmod(int(best[q]), sigma)
+        back.append(c)
+    word = back[::-1] * 2
+
+    # invert the pair index of p, then lift from its (lower, higher)
+    # orientation; a round that ends flipped takes a second round
+    pair = int(residue[p])
+    ends = np.cumsum(sq.run_end - np.arange(len(sq.order)) - 1)
+    i = int(np.searchsorted(ends, pair, side="right"))
+    start = (int(sq.order[i]), int(sq.order[pair - int(ends[i]) + int(sq.run_end[i])]))
+    cycle = [start]
+    delta = a_min.delta
+    for c in word:
+        u, v = cycle[-1]
+        nxt = (int(delta[c, u]), int(delta[c, v]))
+        if nxt == start:
+            break
+        cycle.append(nxt)
+    return Witness(tuple(cycle), "".join(symbols[c] for c in word[: len(cycle)]))
